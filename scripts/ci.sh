@@ -68,10 +68,23 @@ PY
         echo "analysis: mandatory lint took ${SECONDS}s — over the 30 s fail-fast budget" >&2
         exit 1
       fi
-      # AST second opinion (tidy_checks.py): opportunistic — degrades to a
-      # notice where libclang python bindings are absent, fails the cell
-      # where they exist and find a violation.
-      python3 tools/lfrc_lint/lfrc_lint.py --root . --tidy src
+      # Mutant coverage: every seeded-mutant enumerator in
+      # src/util/mutation.hpp must be armed (`mutation::arm x(mutant::...)`)
+      # by some file under tests/, so no seam outlives the test proving the
+      # checkers catch it.
+      python3 - <<'PY'
+import pathlib, re, sys
+hdr = pathlib.Path("src/util/mutation.hpp").read_text()
+body = re.search(r"enum class mutant\s*\{(.*?)\};", hdr, re.S).group(1)
+mutants = [m.strip() for m in re.sub(r"//[^\n]*", "", body).split(",") if m.strip()]
+armed = set()
+for f in pathlib.Path("tests").rglob("*.[ch]pp"):
+    armed |= set(re.findall(r"\barm\s+\w+\s*[({]\s*(?:\w+::)*mutant::(\w+)", f.read_text()))
+unarmed = [m for m in mutants if m not in armed]
+if unarmed:
+    sys.exit(f"analysis: mutant(s) armed by no test under tests/: {', '.join(unarmed)}")
+print(f"analysis: all {len(mutants)} seeded mutants are armed by a test")
+PY
       # Heavier analyzers ride along where the host has them. The container
       # images bake in only the base toolchain, so absence is a notice,
       # not a failure — lfrc_lint above is the mandatory check.

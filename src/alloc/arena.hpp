@@ -72,6 +72,7 @@
 
 #include "alloc/slab.hpp"
 #include "sim/instrumented.hpp"
+#include "util/mutation.hpp"
 #include "util/thread_registry.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -278,34 +279,6 @@ class arena {
         return out;
     }
 
-#if defined(LFRC_ENABLE_MUTATIONS)
-    /// Seeded freelist-ABA bug for mutation testing (tests/sim/
-    /// sim_arena_test.cpp): when set, head CASes stop advancing the tag, so
-    /// a head word can recur exactly — the owner's in-flight single-block
-    /// pop then succeeds against a reborn head and installs its STALE
-    /// pre-read `next`, handing one block to two owners. This is the
-    /// classic recycled-freelist bug the tag exists to exclude.
-    static std::atomic<bool>& mutate_strip_arena_tag() noexcept {
-        static std::atomic<bool> flag{false};
-        return flag;
-    }
-
-    /// Seeded memory-order bug for R6's dynamic twin (tests/
-    /// order_race_probe.cpp): when set, the owner's single-block remote pop
-    /// runs BOTH its head pre-read and its claiming CAS relaxed, severing
-    /// the `remote-head` release/acquire pairing (docs/fence_pairings.md).
-    /// A popped block then reaches the allocator's caller with no
-    /// happens-before edge from the remote freer's last payload writes —
-    /// a data race TSan reports on the first cross-thread recycle. Either
-    /// order alone restores the edge (the CAS's success order or the
-    /// pre-read's acquire), which is exactly why R6 makes every site of
-    /// the pairing name it: weakening one end is invisible to eyeballs.
-    static std::atomic<bool>& mutate_weaken_pop_acquire() noexcept {
-        static std::atomic<bool> flag{false};
-        return flag;
-    }
-#endif
-
   private:
     friend struct arena_testing;
 
@@ -372,30 +345,25 @@ class arena {
 
     /// Tag successor for every head CAS; the mutation strips the advance.
     static std::uint32_t next_tag(std::uint32_t tag) noexcept {
-#if defined(LFRC_ENABLE_MUTATIONS)
-        if (mutate_strip_arena_tag().load(std::memory_order_relaxed)) return tag;  // lfrc-lint: order(unpaired-mutation-flag)
-#endif
+        if (mutation::on(mutation::mutant::strip_arena_tag)) return tag;
         return tag + 1;  // 32-bit wraparound is benign: equality is all that matters
     }
 
     /// Memory orders for the owner's single-block remote pop (allocate
-    /// step 2). Funneled through one place so the R6 mutation can weaken
-    /// both ends at once; these ARE the pop side of the `remote-head`
-    /// pairing — see docs/fence_pairings.md.
+    /// step 2). Funneled through one place so the weaken_pop_acquire mutant
+    /// can weaken both ends at once (either end alone still carries the
+    /// happens-before edge from the remote freer); these ARE the pop side
+    /// of the `remote-head` pairing — see docs/fence_pairings.md.
     static std::memory_order pop_load_order() noexcept {
-#if defined(LFRC_ENABLE_MUTATIONS)
-        if (mutate_weaken_pop_acquire().load(std::memory_order_relaxed)) {  // lfrc-lint: order(unpaired-mutation-flag)
+        if (mutation::on(mutation::mutant::weaken_pop_acquire)) {
             return std::memory_order_relaxed;  // lfrc-lint: order(remote-head)
         }
-#endif
         return std::memory_order_acquire;  // lfrc-lint: order(remote-head)
     }
     static std::memory_order pop_cas_order() noexcept {
-#if defined(LFRC_ENABLE_MUTATIONS)
-        if (mutate_weaken_pop_acquire().load(std::memory_order_relaxed)) {  // lfrc-lint: order(unpaired-mutation-flag)
+        if (mutation::on(mutation::mutant::weaken_pop_acquire)) {
             return std::memory_order_relaxed;  // lfrc-lint: order(remote-head)
         }
-#endif
         return std::memory_order_acq_rel;  // lfrc-lint: order(remote-head)
     }
 

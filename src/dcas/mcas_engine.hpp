@@ -59,6 +59,7 @@
 #include "dcas/cell.hpp"
 #include "reclaim/epoch.hpp"
 #include "util/cacheline.hpp"
+#include "util/mutation.hpp"
 #include "util/thread_registry.hpp"
 
 #if defined(LFRC_SIM)
@@ -83,18 +84,6 @@ class mcas_engine {
         static counters c;
         return c;
     }
-
-#if defined(LFRC_ENABLE_MUTATIONS)
-    /// Seeded reuse bug for mutation testing (tests/sim/sim_kcas_reuse_test):
-    /// when set, the decision CAS trusts the *current* status word's sequence
-    /// instead of the help ticket's — i.e. the helper skips the sequence
-    /// re-validation between phase 1 and the decision, the classic
-    /// recycled-descriptor completion bug this design exists to exclude.
-    static std::atomic<bool>& mutate_strip_seq_validation() noexcept {
-        static std::atomic<bool> flag{false};
-        return flag;
-    }
-#endif
 
     static std::uint64_t read(cell& c) {
         for (;;) {
@@ -554,8 +543,7 @@ class mcas_engine {
                 }
                 if (st != status_undecided) break;
             }
-#if defined(LFRC_ENABLE_MUTATIONS)
-            if (mutate_strip_seq_validation().load(std::memory_order_relaxed)) {  // lfrc-lint: order(unpaired-mutation-flag)
+            if (mutation::on(mutation::mutant::strip_seq_validation)) {
                 // MUTANT (the classic reuse bug): re-read the status word
                 // and trust whatever sequence it carries now, instead of
                 // requiring the help ticket's sequence. A helper that
@@ -569,9 +557,7 @@ class mcas_engine {
                     (expected & ~std::uint64_t{status_state_mask}) | decided;
                 mcas_of(md_word).status.compare_exchange_strong(expected, desired,  // lfrc-lint: exempt(R7)
                                                                 std::memory_order_seq_cst);
-            } else
-#endif
-            {
+            } else {
                 // Decision CAS: expected and desired both carry the help
                 // ticket's sequence, so a stale helper cannot decide a
                 // recycled descriptor's new operation.

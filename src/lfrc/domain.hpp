@@ -50,6 +50,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -59,8 +61,32 @@
 #include "dcas/engine.hpp"
 #include "lfrc/counters.hpp"
 #include "reclaim/epoch.hpp"
+#include "util/mutation.hpp"
 
 namespace lfrc {
+
+namespace domain_detail {
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void descriptor_in_exclusive_get(
+    std::uint64_t v) noexcept {
+    std::fprintf(stderr,
+                 "lfrc: exclusive_get observed an in-flight engine descriptor "
+                 "(cell word 0x%llx): a DCAS/CASN still targets a field its "
+                 "caller holds exclusively\n",
+                 static_cast<unsigned long long>(v));
+    std::abort();
+}
+
+/// exclusive_get's precondition, checked in every build: a field its caller
+/// holds exclusively carries no engine descriptor. Decoding one as a
+/// pointer would fault at the descriptor's address, far from the race that
+/// left it there, so the check names the word and aborts instead.
+inline std::uint64_t require_clean(std::uint64_t v) noexcept {
+    if (!dcas::is_clean_value(v)) [[unlikely]] descriptor_in_exclusive_get(v);
+    return v;
+}
+
+}  // namespace domain_detail
 
 template <dcas::dcas_engine Engine>
 class basic_domain {
@@ -128,11 +154,8 @@ class basic_domain {
         T* exclusive_get() const noexcept {
             static_assert(std::is_base_of_v<object, T>,
                           "ptr_field may only hold LFRC-managed objects");
-            const std::uint64_t v =
-                const_cast<dcas::cell&>(cell_).raw().load(std::memory_order_acquire);
-            assert(dcas::is_clean_value(v) &&
-                   "exclusive_get observed an in-flight engine descriptor");
-            return dcas::decode_ptr<T>(v);
+            return dcas::decode_ptr<T>(domain_detail::require_clean(
+                const_cast<dcas::cell&>(cell_).raw().load(std::memory_order_acquire)));
         }
 
       private:
@@ -454,7 +477,14 @@ class basic_domain {
             const std::uint64_t r = Engine::read(rc);
             const std::uint64_t r_plus =
                 dcas::encode_count(dcas::decode_count(r) + 1);
-            if (Engine::dcas(A.cell_, rc, raw, r, raw, r_plus)) {  // line 9
+            // line 9. The plain_cas_load mutant is the Valois flaw §2 uses
+            // to motivate DCAS: a CAS on the count alone does not tie the
+            // increment to *A's current value, so a racing final release
+            // between line 4 and here lets it resurrect a dead object.
+            const bool raised = mutation::on(mutation::mutant::plain_cas_load)
+                                    ? Engine::cas(rc, r, r_plus)
+                                    : Engine::dcas(A.cell_, rc, raw, r, raw, r_plus);
+            if (raised) {
                 counters().add_increments(1);
                 dest.p_ = obj;  // line 10
                 break;
@@ -470,41 +500,6 @@ class basic_domain {
         load(A, out);
         return out;
     }
-
-#if defined(LFRC_ENABLE_MUTATIONS)
-    /// MUTANT of load() for the sim harness's self-test ONLY (never compiled
-    /// into production or the normal test suite): the Valois-style bug the
-    /// paper's §2 uses to motivate DCAS. It increments the pointee's count
-    /// with a plain CAS on the count word alone, without re-validating that
-    /// *A still points at the object — so a racing final release between
-    /// line 4's read and the increment resurrects a logically dead object
-    /// (0 -> 1), and the later matching destroy retires it a second time.
-    /// tests/sim/sim_mutation_test.cpp asserts the schedule explorer
-    /// actually finds this within its budget.
-    template <typename T>
-    static void load_mutated_plain_cas(ptr_field<T>& A, local_ptr<T>& dest) {
-        reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
-        T* old_dest = dest.p_;
-        for (;;) {
-            const std::uint64_t raw = Engine::read(A.cell_);
-            if (raw == 0) {
-                dest.p_ = nullptr;
-                break;
-            }
-            T* obj = dcas::decode_ptr<T>(raw);
-            dcas::cell& rc = static_cast<object*>(obj)->rc_;
-            const std::uint64_t r = Engine::read(rc);
-            // BUG (intentional): CAS instead of the Figure-2 DCAS — nothing
-            // ties the increment to *A's current value.
-            if (Engine::cas(rc, r, dcas::encode_count(dcas::decode_count(r) + 1))) {
-                counters().add_increments(1);
-                dest.p_ = obj;
-                break;
-            }
-        }
-        destroy(old_dest);
-    }
-#endif
 
     /// LFRCStore: store v into *A (lines 21..28).
     template <typename T>
@@ -642,11 +637,8 @@ class basic_domain {
         T* exclusive_get() const noexcept {
             static_assert(std::is_base_of_v<object, T>,
                           "ll_field may only hold LFRC-managed objects");
-            const std::uint64_t v =
-                const_cast<dcas::cell&>(ptr_).raw().load(std::memory_order_acquire);
-            assert(dcas::is_clean_value(v) &&
-                   "exclusive_get observed an in-flight engine descriptor");
-            return dcas::decode_ptr<T>(v);
+            return dcas::decode_ptr<T>(domain_detail::require_clean(
+                const_cast<dcas::cell&>(ptr_).raw().load(std::memory_order_acquire)));
         }
 
       private:

@@ -29,11 +29,8 @@
 
 #include <cstdint>
 
-#if defined(LFRC_ENABLE_MUTATIONS)
-#include <atomic>
-#endif
-
 #include "sim/instrumented.hpp"
+#include "util/mutation.hpp"
 #include "util/sim_hook.hpp"
 
 namespace lfrc::net {
@@ -70,25 +67,16 @@ class drain_gate {
     /// and none can enter one — the store's quiescent-teardown precondition.
     void await_quiescent() noexcept {
         draining_.store(1, std::memory_order_seq_cst);
-#if defined(LFRC_ENABLE_MUTATIONS)
         // MUTANT (the drain-ordering bug this gate exists to exclude):
         // proceed to the store teardown without waiting for in-flight
         // batches. A worker mid-request then walks entries reset_chain is
         // deleting under it. tests/sim/sim_net_drain_test.cpp proves the
-        // shadow heap catches this at preemption_bound=1.
-        if (mutate_skip_await().load(std::memory_order_relaxed)) return;  // lfrc-lint: order(unpaired-mutation-flag)
-#endif
+        // sim harness catches this at preemption_bound=1.
+        if (mutation::on(mutation::mutant::skip_await)) return;
         while (in_flight_.load(std::memory_order_seq_cst) != 0) {
             util::cooperative_yield();
         }
     }
-
-#if defined(LFRC_ENABLE_MUTATIONS)
-    static std::atomic<bool>& mutate_skip_await() noexcept {
-        static std::atomic<bool> flag{false};
-        return flag;
-    }
-#endif
 
   private:
     sim::instrumented_atomic<std::uint64_t> in_flight_{0};

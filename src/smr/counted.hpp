@@ -27,26 +27,17 @@
 #include "lfrc/domain.hpp"
 #include "reclaim/epoch.hpp"
 #include "smr/policy.hpp"
+#include "util/mutation.hpp"
 
 namespace lfrc::smr {
 
-/// The paper's discipline as a policy. The mutation parameters (available
-/// only under -DLFRC_ENABLE_MUTATIONS via the aliases below) seed known
-/// bugs for the sim harness to re-find:
-///  * `Mutated` swaps the guard's protect for the Valois-style plain-CAS
-///    load so the generic cores still expose the §2 resurrection bug.
-///  * `FlagBlind` downgrades vinstall_if_live from the 3-word CASN (pointer,
-///    version, dead-flag) to the flag-blind 2-word store_conditional — the
-///    pre-PR-3 put-vs-erase lost-update window, re-seeded to prove the
-///    store detector was not blinded by the engine's sequence-tag words.
-template <typename Domain, bool Mutated = false, bool FlagBlind = false>
+/// The paper's discipline as a policy.
+template <typename Domain>
 class counted {
   public:
     using domain_type = Domain;
 
-    static constexpr const char* name() noexcept {
-        return Mutated ? "counted-mutated" : (FlagBlind ? "counted-flag-blind" : "counted");
-    }
+    static constexpr const char* name() noexcept { return "counted"; }
     static constexpr bool counted_links = true;
     // Counted traversal may pass through logically deleted nodes: the
     // slot's reference keeps the node (and its frozen next chain) alive.
@@ -120,13 +111,7 @@ class counted {
         template <typename Node>
         Node* protect(std::size_t i, link<Node>& src) {
             typename Domain::template local_ptr<Node> lp;
-            if constexpr (Mutated) {
-#ifdef LFRC_ENABLE_MUTATIONS
-                Domain::load_mutated_plain_cas(src, lp);
-#endif
-            } else {
-                Domain::load(src, lp);
-            }
+            Domain::load(src, lp);
             return set(i, lp.release());
         }
         template <typename Node>
@@ -206,16 +191,14 @@ class counted {
 
     template <typename T>
     bool vinstall_if_live(vslot<T>& s, std::uint64_t ver, T* old0, T* new0, flag& dead) {
-        if constexpr (FlagBlind) {
+        if (mutation::on(mutation::mutant::flag_blind_install)) {
             // MUTANT: ignore the dead flag — the install can land in an
             // entry a concurrent erase just claimed, losing the update.
             return Domain::store_conditional(s, typename Domain::link_token{ver}, old0,
                                              new0);
-        } else {
-            return Domain::store_conditional_if_flag(s, typename Domain::link_token{ver},
-                                                     old0, new0, dead,
-                                                     /*flag_required=*/false);
         }
+        return Domain::store_conditional_if_flag(s, typename Domain::link_token{ver}, old0,
+                                                 new0, dead, /*flag_required=*/false);
     }
     template <typename T>
     bool vclaim_mark_dead(vslot<T>& s, std::uint64_t ver, T* old0, flag& dead) {
@@ -226,54 +209,22 @@ class counted {
     std::uint64_t drain(int rounds) { return detail::drain_epoch_domain(rounds); }
 };
 
-#ifdef LFRC_ENABLE_MUTATIONS
-/// The Valois plain-CAS load mutant, as a policy: the sim conformance
-/// suite drives it through the generic cores to prove the harness still
-/// catches the §2 resurrection race after this refactor.
+/// Counted ownership, borrowed reads. Everything but the guard is inherited
+/// from `counted`: cells, owner, every link operation. The guard's strong
+/// operations (protect, vprotect) acquire counted references as `counted`'s
+/// do; traverse/vtraverse ride the guard's epoch pin with zero count
+/// traffic.
 template <typename Domain>
-using counted_mutated = counted<Domain, /*Mutated=*/true>;
+class borrowed : public counted<Domain> {
+    using base = counted<Domain>;
 
-/// The flag-blind vinstall mutant: the store's put-vs-erase lost-update
-/// detector (tests/sim/sim_kcas_reuse_test.cpp) must still trigger on it
-/// with the sequence-tagged engine underneath.
-template <typename Domain>
-using counted_flag_blind = counted<Domain, /*Mutated=*/false, /*FlagBlind=*/true>;
-#endif
-
-/// Counted ownership, borrowed reads. Strong operations (protect, vprotect,
-/// every write) are identical to `counted`; traverse/vtraverse ride the
-/// guard's epoch pin with zero count traffic.
-template <typename Domain>
-class borrowed {
   public:
-    using domain_type = Domain;
-
     static constexpr const char* name() noexcept { return "borrowed"; }
-    static constexpr bool counted_links = true;
-    static constexpr bool has_lazy_traverse = true;
-    static constexpr std::size_t guard_slots = 4;
 
     template <typename Node>
-    using link = typename Domain::template ptr_field<Node>;
-    using flag = typename Domain::flag_field;
+    using link = typename base::template link<Node>;
     template <typename T>
-    using vslot = typename Domain::template ll_field<T>;
-
-    template <typename Node>
-    using node_base = typename counted<Domain>::template node_base<Node>;
-    template <typename Node>
-    using owner = typename counted<Domain>::template owner<Node>;
-
-    template <typename Node, typename... Args>
-    owner<Node> make_owner(Args&&... args) {
-        return counted_.template make_owner<Node>(std::forward<Args>(args)...);
-    }
-    template <typename Node>
-    void publish_ok(owner<Node>&) noexcept {}
-
-    struct thread_scope {
-        explicit thread_scope(borrowed&) noexcept {}
-    };
+    using vslot = typename base::template vslot<T>;
 
     class guard {
       public:
@@ -382,59 +333,15 @@ class borrowed {
             if (slots_[i].counted) Domain::destroy(slots_[i].p);
         }
         void release_all() {
-            for (std::size_t i = 0; i < guard_slots; ++i) {
+            for (std::size_t i = 0; i < base::guard_slots; ++i) {
                 release(i);
                 slots_[i] = {};
             }
         }
 
-        slot_t slots_[guard_slots] = {};
+        slot_t slots_[base::guard_slots] = {};
         reclaim::epoch_domain::guard pin_{reclaim::epoch_domain::global()};
     };
-
-    // Strong/link operations are the counted ones verbatim.
-    template <typename Node>
-    Node* peek(link<Node>& A) noexcept {
-        return Domain::peek(A);
-    }
-    template <typename Node>
-    void init_link(link<Node>& A, Node* v) {
-        Domain::store(A, v);
-    }
-    template <typename Node>
-    bool cas_link(link<Node>& A, Node* old0, Node* new0) {
-        return Domain::cas(A, old0, new0);
-    }
-    template <typename Node>
-    bool dcas_link_flag(link<Node>& A, flag& F, Node* old0, bool old_flag, Node* new0,
-                        bool new_flag) {
-        return Domain::dcas_ptr_flag(A, F, old0, old_flag, new0, new_flag);
-    }
-    bool flag_load(flag& f) noexcept { return f.load(); }
-    bool flag_cas(flag& f, bool expected, bool desired) { return f.cas(expected, desired); }
-    template <typename Node>
-    void retire_unlinked(Node*) noexcept {}
-    template <typename Node>
-    void reset_chain(link<Node>& head) {
-        Domain::store(head, static_cast<Node*>(nullptr));
-    }
-    template <typename Node>
-    void register_root(link<Node>&) noexcept {}
-    template <typename T>
-    bool vinstall_if_live(vslot<T>& s, std::uint64_t ver, T* old0, T* new0, flag& dead) {
-        return Domain::store_conditional_if_flag(s, typename Domain::link_token{ver}, old0,
-                                                 new0, dead, /*flag_required=*/false);
-    }
-    template <typename T>
-    bool vclaim_mark_dead(vslot<T>& s, std::uint64_t ver, T* old0, flag& dead) {
-        return Domain::claim_and_set_flag(s, typename Domain::link_token{ver}, old0, dead);
-    }
-
-    std::uint64_t pending() const noexcept { return reclaim::epoch_domain::global().pending(); }
-    std::uint64_t drain(int rounds) { return detail::drain_epoch_domain(rounds); }
-
-  private:
-    counted<Domain> counted_;
 };
 
 }  // namespace lfrc::smr

@@ -5,8 +5,8 @@
 // pairing, `remote-head` (docs/fence_pairings.md): a cross-slot free
 // release-publishes the freed block's last payload writes via the tagged
 // remote-head push, and the owner's single-block pop acquire-reads them.
-// The seeded mutation (arena::mutate_weaken_pop_acquire, compiled under
-// LFRC_ENABLE_MUTATIONS) weakens BOTH ends of the pop — the head pre-read
+// The seeded mutation (mutation::mutant::weaken_pop_acquire; the probe is
+// compiled with LFRC_ENABLE_MUTATIONS) weakens BOTH ends of the pop — the head pre-read
 // and the claiming CAS — to relaxed. That is invisible to every value
 // assertion and to the seq_cst sim model (sim atomics run seq_cst), but
 // the recycled payload now reaches its next owner with no happens-before
@@ -27,6 +27,7 @@
 #include <thread>
 
 #include "alloc/arena.hpp"
+#include "util/mutation.hpp"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -63,23 +64,15 @@ std::atomic<bool> g_freed{false};
 
 int main(int argc, char** argv) {
     const bool mutant = argc > 1 && std::strcmp(argv[1], "--mutant") == 0;
-#if !defined(LFRC_ENABLE_MUTATIONS)
-    (void)mutant;
-    std::fprintf(stderr,
-                 "order_race_probe: built without LFRC_ENABLE_MUTATIONS — "
-                 "inconclusive\n");
-    return 2;
-#else
-    if (mutant) {
 #if !defined(PROBE_TSAN)
+    if (mutant) {
         std::fprintf(stderr,
                      "order_race_probe: --mutant without ThreadSanitizer — "
                      "inconclusive\n");
         return 2;
-#else
-        lfrc::alloc::arena::mutate_weaken_pop_acquire().store(true);
-#endif
     }
+#endif
+    lfrc::mutation::arm armed(lfrc::mutation::mutant::weaken_pop_acquire, mutant);
     auto& a = lfrc::alloc::arena::instance();
 
     // B, the owner: carves the block (home = B's registry slot), hands it
@@ -139,5 +132,4 @@ int main(int argc, char** argv) {
     }
     std::puts("order_race_probe: clean orders, no race");
     return 0;
-#endif
 }

@@ -10,8 +10,8 @@
 // that interleaving. A shared outstanding-set turns any double-allocation
 // into an immediate sim failure.
 //
-// The mutant leg compiles the arena's seeded strip-the-tag bug
-// (mutate_strip_arena_tag: head CASes stop advancing the tag) and proves
+// The mutant leg arms the arena's seeded strip-the-tag bug
+// (mutant::strip_arena_tag: head CASes stop advancing the tag) and proves
 // this harness catches it at preemption_bound=1 — per the validation
 // discipline, the clean tests are only trusted because this leg shows the
 // harness would have seen the classic recycled-freelist ABA.
@@ -23,6 +23,7 @@
 
 #include "alloc/arena.hpp"
 #include "sim_test_support.hpp"
+#include "util/mutation.hpp"
 #include "util/sim_hook.hpp"
 #include "util/thread_registry.hpp"
 
@@ -120,7 +121,6 @@ sim::result run_arena_race(std::uint64_t seed, int schedules, int bound) {
 
 // The real protocol: no schedule may double-issue or lose a block.
 TEST(SimArena, RemotePopSurvivesChainRecycling) {
-    arena::mutate_strip_arena_tag().store(false);
     EXPECT_CLEAN(run_arena_race(9101, 400, /*bound=*/-1));
 }
 
@@ -128,7 +128,6 @@ TEST(SimArena, RemotePopSurvivesChainRecycling) {
 // preemption (owner parked between head read and head CAS) — the cheap
 // cell every CI run can afford.
 TEST(SimArena, RemotePopSurvivesChainRecyclingBounded) {
-    arena::mutate_strip_arena_tag().store(false);
     EXPECT_CLEAN(run_arena_race(9102, 400, /*bound=*/1));
 }
 
@@ -137,9 +136,8 @@ TEST(SimArena, RemotePopSurvivesChainRecyclingBounded) {
 // its stale `next`, handing the thief's held block out a second time. If
 // the harness stops catching this, the clean tests above are vacuous.
 TEST(SimArena, StripTagMutantCaughtAtBoundOne) {
-    arena::mutate_strip_arena_tag().store(true);
+    lfrc::mutation::arm armed(lfrc::mutation::mutant::strip_arena_tag);
     const auto res = run_arena_race(9103, 400, /*bound=*/1);
-    arena::mutate_strip_arena_tag().store(false);
     EXPECT_TRUE(res.failed)
         << "strip-the-tag mutant survived " << res.schedules_run
         << " schedules at preemption_bound=1 — the sim harness lost its "

@@ -15,7 +15,7 @@
 // REUSE of that descriptor must not be able to impose its stale phase-1
 // verdict on the descriptor's NEW operation. The engine excludes it by
 // embedding the help ticket's sequence in the decision CAS; the seeded
-// mutant (mcas_engine::mutate_strip_seq_validation) re-reads the status word
+// mutant (mutation::mutant::strip_seq_validation) re-reads the status word
 // and trusts whatever sequence it carries — exactly the validation the
 // design says is load-bearing.
 //
@@ -55,11 +55,13 @@
 #include "smr/counted.hpp"
 #include "store/store.hpp"
 #include "util/backoff.hpp"
+#include "util/mutation.hpp"
 
 namespace {
 
 using namespace sim_tests;
 using engine = lfrc::dcas::mcas_engine;
+using lfrc::mutation::mutant;
 
 constexpr int k_budget = 3000;  // schedules the mutant must be caught within
 
@@ -135,12 +137,10 @@ std::function<void(sim::env&)> reuse_race_build() {
 
 template <bool Mutated>
 sim::result run_reuse_race(std::uint64_t seed, int schedules) {
-    engine::mutate_strip_seq_validation().store(Mutated, std::memory_order_relaxed);
+    lfrc::mutation::arm armed(mutant::strip_seq_validation, Mutated);
     auto o = opts(seed, schedules);
     o.preemption_bound = 1;
-    const auto res = sim::explore(o, reuse_race_build());
-    engine::mutate_strip_seq_validation().store(false, std::memory_order_relaxed);
-    return res;
+    return sim::explore(o, reuse_race_build());
 }
 
 TEST(SimKcasReuse, StaleHelperDecisionMutantIsCaughtWithinBudget) {
@@ -169,11 +169,10 @@ TEST(SimKcasReuse, ValidatedDecisionPassesTheSameHarness) {
 TEST(SimKcasReuse, FailingSeedReplaysDeterministically) {
     const auto found = run_reuse_race</*Mutated=*/true>(4, k_budget);
     ASSERT_TRUE(found.failed);
-    engine::mutate_strip_seq_validation().store(true, std::memory_order_relaxed);
+    lfrc::mutation::arm armed(mutant::strip_seq_validation);
     auto o = opts(4, 1);
     o.preemption_bound = 1;
     const auto replayed = sim::replay(found.failing_seed, o, reuse_race_build());
-    engine::mutate_strip_seq_validation().store(false, std::memory_order_relaxed);
     EXPECT_TRUE(replayed.failed)
         << "failing seed " << found.failing_seed << " did not reproduce";
     EXPECT_EQ(replayed.kind, found.kind);
@@ -181,7 +180,7 @@ TEST(SimKcasReuse, FailingSeedReplaysDeterministically) {
 
 // ---------------------------------------------------------------------------
 // The store's put-vs-erase lost-update invariant, re-armed against the
-// smr::counted_flag_blind mutant: vinstall_if_live downgraded from the
+// flag_blind_install mutant: counted::vinstall_if_live downgraded from the
 // 3-word CASN (pointer, version, dead-flag) to the flag-blind 2-word
 // store_conditional — the pre-PR-3 bug — proving the detector still has
 // teeth with the sequence-tagged engine underneath.
@@ -217,8 +216,10 @@ struct entry_state {
     std::atomic<int> stage{0};  // plain: staging, not a model step
 };
 
-template <class P>
+template <bool Mutated>
 sim::result run_staged_put_vs_erase(std::uint64_t seed, int schedules) {
+    using P = lfrc::smr::counted<mcas_dom>;
+    lfrc::mutation::arm armed(mutant::flag_blind_install, Mutated);
     return sim::explore(opts(seed, schedules), [](sim::env& e) {
         auto s = std::make_shared<entry_state<P>>();
         e.spawn("put", [s] {
@@ -280,8 +281,7 @@ sim::result run_staged_put_vs_erase(std::uint64_t seed, int schedules) {
 }
 
 TEST(SimKcasReuse, FlagBlindInstallMutantStillTripsStoreDetector) {
-    const auto res =
-        run_staged_put_vs_erase<lfrc::smr::counted_flag_blind<mcas_dom>>(6262, 200);
+    const auto res = run_staged_put_vs_erase</*Mutated=*/true>(6262, 200);
     ASSERT_TRUE(res.failed)
         << "the flag-blind vinstall mutant survived the staged put-vs-erase "
         << "window — the dead-flag word is not actually part of the install";
@@ -290,7 +290,7 @@ TEST(SimKcasReuse, FlagBlindInstallMutantStillTripsStoreDetector) {
 }
 
 TEST(SimKcasReuse, FlagCheckedInstallPassesTheSameHarness) {
-    const auto res = run_staged_put_vs_erase<lfrc::smr::counted<mcas_dom>>(6262, 200);
+    const auto res = run_staged_put_vs_erase</*Mutated=*/false>(6262, 200);
     EXPECT_CLEAN(res);
 }
 

@@ -1,6 +1,6 @@
 // Mutation self-test: the harness is only trustworthy if it actually FINDS
-// the bug class it exists for. This suite compiles the deliberately broken
-// LFRCLoad variant (domain.hpp, -DLFRC_ENABLE_MUTATIONS: plain CAS on the
+// the bug class it exists for. This suite arms the plain_cas_load mutant
+// (util/mutation.hpp: LFRCLoad raises the count with a plain CAS on the
 // count word instead of the Figure-2 DCAS — the Valois-style flaw §2 of the
 // paper uses to motivate DCAS) and requires the explorer to catch it within
 // a bounded schedule budget, while the correct operation sails through the
@@ -16,10 +16,12 @@
 #include "sim_test_support.hpp"
 #include "smr/counted.hpp"
 #include "smr/manual.hpp"
+#include "util/mutation.hpp"
 
 namespace {
 
 using namespace sim_tests;
+using lfrc::mutation::mutant;
 
 using D = mcas_dom;
 using node = lfrc_tests::test_node<D>;
@@ -37,25 +39,24 @@ constexpr int k_budget = 3000;  // schedules the mutant must be caught within
 // retires it a second time: the shadow heap reports the double free (or a
 // use-after-free if the resurrected object's cells are touched after the
 // first deferred free runs).
+void load_race_build(sim::env& e) {
+    auto s = std::make_shared<shared_t>();
+    D::store_alloc(s->field, D::make<node>(7));
+    e.spawn("loader", [s] {
+        typename D::local_ptr<node> got;
+        D::load(s->field, got);
+        // `got` (if any) is released here — the mutant's double retire.
+    });
+    e.spawn("releaser", [s] {
+        D::store(s->field, static_cast<node*>(nullptr));
+    });
+    e.on_quiesce([] { expect_quiesced_drain(); });
+}
+
 template <bool Mutated>
 sim::result run_load_race(std::uint64_t seed, int schedules) {
-    return sim::explore(opts(seed, schedules), [](sim::env& e) {
-        auto s = std::make_shared<shared_t>();
-        D::store_alloc(s->field, D::make<node>(7));
-        e.spawn("loader", [s] {
-            typename D::local_ptr<node> got;
-            if constexpr (Mutated) {
-                D::load_mutated_plain_cas(s->field, got);
-            } else {
-                D::load(s->field, got);
-            }
-            // `got` (if any) is released here — the mutant's double retire.
-        });
-        e.spawn("releaser", [s] {
-            D::store(s->field, static_cast<node*>(nullptr));
-        });
-        e.on_quiesce([] { expect_quiesced_drain(); });
-    });
+    lfrc::mutation::arm armed(mutant::plain_cas_load, Mutated);
+    return sim::explore(opts(seed, schedules), load_race_build);
 }
 
 TEST(SimMutation, PlainCasLoadMutantIsCaughtWithinBudget) {
@@ -74,29 +75,19 @@ TEST(SimMutation, FailingSeedReplaysDeterministically) {
     ASSERT_TRUE(found.failed);
     // Replaying the reported seed must reproduce the same violation kind on
     // the first and only schedule — the README recipe, in test form.
-    const auto replayed = sim::replay(found.failing_seed, opts(4242, 1), [](sim::env& e) {
-        auto s = std::make_shared<shared_t>();
-        D::store_alloc(s->field, D::make<node>(7));
-        e.spawn("loader", [s] {
-            typename D::local_ptr<node> got;
-            D::load_mutated_plain_cas(s->field, got);
-        });
-        e.spawn("releaser", [s] {
-            D::store(s->field, static_cast<node*>(nullptr));
-        });
-        e.on_quiesce([] { expect_quiesced_drain(); });
-    });
+    lfrc::mutation::arm armed(mutant::plain_cas_load);
+    const auto replayed = sim::replay(found.failing_seed, opts(4242, 1), load_race_build);
     EXPECT_TRUE(replayed.failed) << "failing seed " << found.failing_seed
                                  << " did not reproduce";
     EXPECT_EQ(replayed.kind, found.kind);
 }
 
-// The same flaw, but injected through the smr policy layer and hunted
-// through the GENERIC stack core: smr::counted_mutated swaps the guard's
-// protect() onto the plain-CAS load, so two poppers racing on the last
-// node reproduce §2's resurrection (count 0 -> 1 on a retired object) and
-// its double retire — proving the unified core did not dilute the
-// explorer's reach into the policy's load discipline.
+// The same flaw, but hunted through the smr policy layer and the GENERIC
+// stack core: the counted guard's protect() runs the armed plain-CAS load,
+// so two poppers racing on the last node reproduce §2's resurrection
+// (count 0 -> 1 on a retired object) and its double retire — proving the
+// unified core did not dilute the explorer's reach into the policy's load
+// discipline.
 //
 // Full container ops walk far more instrumented steps than the minimal
 // load race above, so unbounded random scheduling dilutes the window;
@@ -104,8 +95,8 @@ TEST(SimMutation, FailingSeedReplaysDeterministically) {
 // mutant falls within single-digit schedules at bound 3.
 template <bool Mutated>
 sim::result run_core_pop_race(std::uint64_t seed, int schedules) {
-    using P = std::conditional_t<Mutated, lfrc::smr::counted_mutated<D>,
-                                 lfrc::smr::counted<D>>;
+    using P = lfrc::smr::counted<D>;
+    lfrc::mutation::arm armed(mutant::plain_cas_load, Mutated);
     auto o = opts(seed, schedules);
     o.preemption_bound = 3;
     return sim::explore(o, [](sim::env& e) {

@@ -11,9 +11,9 @@
 // genuine use-after-free, not a masked refcount save) through the real
 // gate, under exhaustive-ish schedule exploration.
 //
-// The mutant leg compiles drain_gate's seeded drain-ordering bug
-// (mutate_skip_await: proceed to the teardown without waiting) and proves
-// the shadow heap catches it at preemption_bound=1 — per the validation
+// The mutant leg arms drain_gate's seeded drain-ordering bug
+// (mutant::skip_await: proceed to the teardown without waiting) and proves
+// the sim harness catches it at preemption_bound=1 — per the validation
 // discipline for sim regression tests, the clean test is only trusted
 // because this leg demonstrates the harness would have seen the bug.
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "sim_test_support.hpp"
 #include "smr/smr.hpp"
 #include "store/store.hpp"
+#include "util/mutation.hpp"
 
 namespace {
 
@@ -77,7 +78,6 @@ sim::result run_drain_race(std::uint64_t seed, int schedules, int bound) {
 
 // The real protocol: no schedule may corrupt memory or leave a residual.
 TEST(SimNetDrain, GatedDrainIsExclusive) {
-    drain_gate::mutate_skip_await().store(false);
     EXPECT_CLEAN(run_drain_race(8001, 400, /*bound=*/-1));
 }
 
@@ -85,7 +85,6 @@ TEST(SimNetDrain, GatedDrainIsExclusive) {
 // drainer runs to completion, worker resumes) is reachable at bound 1 —
 // the cheap cell every CI run can afford.
 TEST(SimNetDrain, GatedDrainIsExclusiveBounded) {
-    drain_gate::mutate_skip_await().store(false);
     EXPECT_CLEAN(run_drain_race(8002, 400, /*bound=*/1));
 }
 
@@ -94,9 +93,8 @@ TEST(SimNetDrain, GatedDrainIsExclusiveBounded) {
 // already freed. If the harness stops catching this, the clean tests
 // above are vacuous.
 TEST(SimNetDrain, SkipAwaitMutantCaughtAtBoundOne) {
-    drain_gate::mutate_skip_await().store(true);
+    lfrc::mutation::arm armed(lfrc::mutation::mutant::skip_await);
     const auto res = run_drain_race(8003, 400, /*bound=*/1);
-    drain_gate::mutate_skip_await().store(false);
     EXPECT_TRUE(res.failed)
         << "drain-ordering mutant survived " << res.schedules_run
         << " schedules at preemption_bound=1 — the sim harness lost its "

@@ -276,4 +276,15 @@ TYPED_TEST(LfrcEdgeTest, FlushDrainsOnlyAfterTheLastPinReleases) {
         << "full release must let the flush converge";
 }
 
+// exclusive_get's "no descriptor in an exclusively held field" check stays
+// on in release builds: a descriptor word reaching the decoder must name
+// itself and abort, not fault later at the descriptor's address.
+TEST(LfrcExclusiveGet, DescriptorWordAbortsWithReport) {
+    EXPECT_EQ(domain_detail::require_clean(0x1000), 0x1000u);
+    EXPECT_DEATH(domain_detail::require_clean(0x1000 | dcas::tag_mcas),
+                 "exclusive_get observed an in-flight engine descriptor");
+    EXPECT_DEATH(domain_detail::require_clean(0x1000 | dcas::tag_rdcss),
+                 "exclusive_get observed an in-flight engine descriptor");
+}
+
 }  // namespace

@@ -9,6 +9,7 @@
 #include "util/backoff.hpp"
 #include "util/cacheline.hpp"
 #include "util/histogram.hpp"
+#include "util/mutation.hpp"
 #include "util/random.hpp"
 #include "util/spin_barrier.hpp"
 #include "util/stopwatch.hpp"
@@ -17,6 +18,18 @@
 namespace {
 
 using namespace lfrc::util;
+
+// This suite is built without LFRC_ENABLE_MUTATIONS, like the library and
+// the benchmarks: every seeded-mutant seam must be a compile-time false,
+// so no production build carries an armable seam and each seam's branch
+// folds away.
+namespace mut = lfrc::mutation;
+static_assert(!mut::on(mut::mutant::plain_cas_load));
+static_assert(!mut::on(mut::mutant::flag_blind_install));
+static_assert(!mut::on(mut::mutant::strip_seq_validation));
+static_assert(!mut::on(mut::mutant::strip_arena_tag));
+static_assert(!mut::on(mut::mutant::weaken_pop_acquire));
+static_assert(!mut::on(mut::mutant::skip_await));
 
 TEST(Random, SplitmixAdvancesState) {
     std::uint64_t s = 42;

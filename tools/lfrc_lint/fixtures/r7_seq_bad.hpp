@@ -2,7 +2,7 @@
 // descriptor's per-use fields with no sequence re-validation, and a
 // decision CAS on the status word that does not carry the captured
 // sequence. Both are exactly the Arbel-Raviv & Brown bug class the reuse
-// engine's sim mutant (mutate_strip_seq_validation) demonstrates.
+// engine's sim mutant (mutant::strip_seq_validation) demonstrates.
 // lfrc-lint-scope: descriptor-engine
 #pragma once
 
